@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.core.{DoubleIntHeap, RMProblem}
+import repro.core.{LazyGreedy, RMProblem}
 import repro.core.Alloc.Alloc
 
 /** Aslay et al.'s oracle-mode baselines (§2.2):
@@ -19,51 +19,14 @@ import repro.core.Alloc.Alloc
 object OracleGreedy {
 
   def run(prob: RMProblem, costSensitive: Boolean): Alloc = {
-    val n = prob.n; val h = prob.h
-    val sess = prob.oracle.newSession()
-    val assigned = new Array[Boolean](n)
-    val terminated = new Array[Boolean](h)
-    val costS = new Array[Double](h)
-    val out = Array.fill(h)(Vector.newBuilder[Int])
-    var active = h
-
-    val heap = new DoubleIntHeap(n * h)
-    def key(u: Int, i: Int): Double =
-      if (costSensitive) sess.rate(u, i, prob.costs(i)(u)) else sess.gain(u, i)
-    var i = 0
-    while (i < h) {
-      var u = 0
-      while (u < n) {
-        if (prob.elementFeasible(i, u)) heap.push(key(u, i), i * n + u)
-        u += 1
-      }
-      i += 1
+    val lg = new LazyGreedy(prob, byRate = costSensitive)
+    lg.pushAll()
+    lg.run(dropDead = true) { (u, ad) =>
+      if (lg.fits(u, ad, lg.sess.gain(u, ad))) lg.take(u, ad)
+      else lg.close(ad)
+      lg.open > 0
     }
-
-    while (heap.nonEmpty && active > 0) {
-      val e = heap.topElem
-      heap.removeTop()
-      val ad = e / n; val u = e % n
-      if (!terminated(ad) && !assigned(u)) {
-        val k = key(u, ad)
-        if (heap.nonEmpty && k < heap.topKey - 1e-12) {
-          heap.push(k, e)
-        } else {
-          val g = sess.gain(u, ad)
-          val c = prob.costs(ad)(u)
-          if (costS(ad) + c + sess.pi(ad) + g <= prob.budgets(ad) + 1e-9) {
-            sess.add(u, ad)
-            costS(ad) += c
-            out(ad) += u
-            assigned(u) = true
-          } else {
-            terminated(ad) = true
-            active -= 1
-          }
-        }
-      }
-    }
-    Vector.tabulate(h)(j => out(j).result())
+    lg.alloc
   }
 
   def caGreedy(prob: RMProblem): Alloc = run(prob, costSensitive = false)

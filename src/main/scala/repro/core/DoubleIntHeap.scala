@@ -2,10 +2,12 @@ package repro.core
 
 /** Array-backed binary max-heap of (Double key, Int element) pairs.
   *
-  * Used as a *lazy* heap by every greedy algorithm here: cached keys may be
-  * stale (too high, never too low — marginal gains/rates only decrease), so
-  * consumers pop, recompute the key, and either process (if still ≥ the next
-  * top) or re-push with the fresh key.
+  * Used as a *lazy* heap: cached keys may be stale (too high, never too low —
+  * marginal gains/rates only decrease), so a consumer pops, recomputes the
+  * key, and either processes the element (if still ≥ the next top) or
+  * re-pushes it with the fresh key. [[LazyGreedy]] runs that loop for Greedy,
+  * ThresholdGreedy, Fill and CA/CS-Greedy; TI-CARM/TI-CSRM keep one heap per
+  * advertiser and refresh only its top.
   */
 final class DoubleIntHeap(initialCapacity: Int = 64) {
   private var keys = new Array[Double](math.max(4, initialCapacity))
@@ -53,6 +55,4 @@ final class DoubleIntHeap(initialCapacity: Int = 64) {
     }
     keys(i) = k; elems(i) = e
   }
-
-  def clear(): Unit = count = 0
 }

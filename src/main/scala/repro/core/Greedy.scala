@@ -13,38 +13,18 @@ object Greedy {
     * selected seed set.
     */
   def run(prob: RMProblem, candidates: IndexedSeq[Int], i: Int): IndexedSeq[Int] = {
-    val sess = prob.oracle.newSession()
-    val b = prob.budgets(i)
-    val heap = new DoubleIntHeap(candidates.size)
+    val lg = new LazyGreedy(prob, byRate = true)
     // Line 1: drop individually infeasible candidates.
-    for (u <- candidates if prob.elementFeasible(i, u))
-      heap.push(sess.rate(u, i, prob.costs(i)(u)), u)
-
-    val s = Vector.newBuilder[Int]
-    var costS = 0.0
+    lg.push(i, candidates)
     var d = -1
-    var done = false
-    while (!done && heap.nonEmpty) {
-      val u = heap.topElem
-      heap.removeTop()
-      val r = sess.rate(u, i, prob.costs(i)(u))
-      if (heap.nonEmpty && r < heap.topKey - 1e-12) {
-        heap.push(r, u) // stale — refresh and retry
-      } else {
-        // u is the true argmax of ζ_i(·|S_i)
-        val g = sess.gain(u, i)
-        if (costS + prob.costs(i)(u) + sess.pi(i) + g <= b + 1e-9) {
-          sess.add(u, i)
-          costS += prob.costs(i)(u)
-          s += u
-        } else {
-          d = u
-          done = true // D_i nonempty stops the loop
-        }
-      }
+    lg.run(dropDead = false) { (u, _) =>
+      // u is the true argmax of ζ_i(·|S_i)
+      val g = lg.sess.gain(u, i)
+      if (lg.fits(u, i, g)) { lg.take(u, i); true }
+      else { d = u; false } // D_i nonempty stops the loop
     }
-    val sSet = s.result()
-    val piS = sess.pi(i)
+    val sSet = lg.alloc(i)
+    val piS = lg.sess.pi(i)
     val piD = if (d >= 0) prob.oracle.piOf(i, Seq(d)) else -1.0
     if (piD > piS) Vector(d) else sSet
   }

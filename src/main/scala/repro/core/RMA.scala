@@ -120,6 +120,8 @@ object RMA {
     val h = cpe.length
     val gamma = cpe.sum
     val lam = Search.lambda(h, cfg.tau)
+    // With ε ≥ λ the ratio check β ≥ λ−ε passes for any β.
+    require(cfg.eps < lam, s"RMA needs eps < lambda: eps=${cfg.eps}, lambda=$lam at h=$h, tau=${cfg.tau}")
     val deltaP = cfg.delta / 4
     val bMin = budgets.min
     val mus = Array.tabulate(h)(i => muOf(costs(i), cpe(i), (1 + cfg.rho) * budgets(i)))

@@ -29,15 +29,6 @@ final class RMProblem(
   /** Total payment `c_i(X) + π_i(X)` of advertiser i for seed set X. */
   def paymentOf(i: Int, xs: Iterable[Int]): Double = costOf(i, xs) + oracle.piOf(i, xs)
 
-  /** Same problem with every budget multiplied by `f` (RMA's (1+ϱ/2) inner
-    * relaxation).
-    */
-  def withScaledBudgets(f: Double): RMProblem =
-    new RMProblem(oracle, budgets.map(_ * f), costs)
-
-  /** Same costs/budgets over a different oracle (RMA's doubled collections). */
-  def withOracle(o: RevenueOracle): RMProblem = new RMProblem(o, budgets, costs)
-
   /** π_i({u}) for every element, used by feasibility filters and γ_max.
     * Computed once per problem; O(Σ incidences) for the RR oracle.
     */

@@ -32,20 +32,19 @@ object Search {
     var gamma = g1
     var t1: Option[Alloc] = None; var b1 = 0
     var t2: Option[Alloc] = None; var b2 = 0
-    val q = Vector.newBuilder[Alloc]
+    var best: Alloc = null; var bestPi = Double.NegativeInfinity
     var iters = 0
     var stop = false
     while (!stop) {
       val r = ThresholdGreedy.run(prob, gamma)
-      q += r.alloc
+      val pi = Alloc.piTotal(prob.oracle, r.alloc)
+      if (pi > bestPi) { best = r.alloc; bestPi = pi }
       if (r.b >= bMin) { t1 = Some(r.alloc); b1 = r.b; g1 = gamma }
       else { t2 = Some(r.alloc); b2 = r.b; g2 = gamma }
       gamma = (g1 + g2) / 2
       iters += 1
       stop = ((1 + tau) * g1 >= g2) || (g2 <= minCpe / (h + 6)) || iters >= MaxIters
     }
-    val all = q.result()
-    val best = all.maxBy(a => Alloc.piTotal(prob.oracle, a))
     SearchResult(best, SearchInfo(t1, b1, g1, t2, b2, g2, bMin))
   }
 

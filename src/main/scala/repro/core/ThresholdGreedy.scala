@@ -22,55 +22,28 @@ object ThresholdGreedy {
   def run(prob: RMProblem, gamma: Double): TGResult = {
     val n = prob.n; val h = prob.h
     val oracle = prob.oracle
-    val sess = oracle.newSession()
-
-    val assigned = new Array[Boolean](n) // in ∪_j (S_j ∪ D_j)
-    val dOf = Array.fill(h)(-1)          // stopple node per advertiser
-    val sLists = Array.fill(h)(Vector.newBuilder[Int])
-    val costS = new Array[Double](h)
-    var depleted = 0
-
     // M: all individually feasible elements, keyed by marginal gain.
-    val heap = new DoubleIntHeap(n * h)
-    var i = 0
-    while (i < h) {
-      var u = 0
-      while (u < n) {
-        if (prob.elementFeasible(i, u)) heap.push(prob.singletonPi(i)(u), i * n + u)
-        u += 1
-      }
-      i += 1
-    }
-
-    while (heap.nonEmpty && depleted != h) {
-      val e = heap.topElem
-      heap.removeTop()
-      val ad = e / n; val u = e % n
-      val g = sess.gain(u, ad)
-      if (heap.nonEmpty && g < heap.topKey - 1e-12) {
-        heap.push(g, e) // stale — refresh
-      } else {
-        // (u, ad) is the max-marginal-gain element of M; it is now removed.
-        val c = prob.costs(ad)(u)
-        val rate = if (c + g <= 0) 0.0 else g / (c + g)
-        val thresholdOk = rate >= gamma / prob.budgets(ad) - 1e-12
-        if (thresholdOk && dOf(ad) < 0 && !assigned(u)) {
-          if (costS(ad) + c + sess.pi(ad) + g <= prob.budgets(ad) + 1e-9) {
-            sess.add(u, ad)
-            costS(ad) += c
-            sLists(ad) += u
-            assigned(u) = true
-          } else {
-            dOf(ad) = u
-            assigned(u) = true
-            depleted += 1
-          }
+    val lg = new LazyGreedy(prob, byRate = false)
+    lg.pushAll()
+    val dOf = Array.fill(h)(-1) // stopple node per advertiser
+    lg.run(dropDead = false) { (u, ad) =>
+      // (u, ad) is the max-marginal-gain element of M; it is now removed.
+      val g = lg.sess.gain(u, ad)
+      val c = prob.costs(ad)(u)
+      val rate = if (c + g <= 0) 0.0 else g / (c + g)
+      if (rate >= gamma / prob.budgets(ad) - 1e-12 && dOf(ad) < 0 && !lg.assigned(u)) {
+        if (lg.fits(u, ad, g)) lg.take(u, ad)
+        else {
+          dOf(ad) = u
+          lg.assigned(u) = true // u ∈ D_ad: no other advertiser may take it
+          lg.close(ad)          // ad's budget is depleted
         }
       }
+      lg.open > 0
     }
 
-    val s: Array[IndexedSeq[Int]] = sLists.map(_.result())
-    val b = depleted
+    val s = lg.alloc
+    val b = h - lg.open
 
     // Line 9–10: single-depleted fallback Greedy over V minus all S_j.
     val aFallback: Array[IndexedSeq[Int]] = Array.fill(h)(Vector.empty)
@@ -99,50 +72,14 @@ object ThresholdGreedy {
     * are depleted or no feasible element remains.
     */
   def fill(prob: RMProblem, start: Alloc): Alloc = {
-    val n = prob.n; val h = prob.h
-    val sess = prob.oracle.newSession()
-    val assigned = new Array[Boolean](n)
-    val costS = new Array[Double](h)
-    val out = Array.tabulate(h)(i => Vector.newBuilder[Int] ++= start(i))
-    var i = 0
-    while (i < h) {
-      for (u <- start(i)) {
-        sess.add(u, i)
-        costS(i) += prob.costs(i)(u)
-        assigned(u) = true
-      }
-      i += 1
+    val lg = new LazyGreedy(prob, byRate = true)
+    for (i <- 0 until prob.h; u <- start(i)) lg.take(u, i)
+    lg.pushAll()
+    lg.run(dropDead = false) { (u, ad) =>
+      // (u, ad) leaves M whether or not it is taken
+      if (!lg.assigned(u) && lg.fits(u, ad, lg.sess.gain(u, ad))) lg.take(u, ad)
+      true
     }
-    val heap = new DoubleIntHeap(n * h)
-    i = 0
-    while (i < h) {
-      var u = 0
-      while (u < n) {
-        if (prob.elementFeasible(i, u))
-          heap.push(sess.rate(u, i, prob.costs(i)(u)), i * n + u)
-        u += 1
-      }
-      i += 1
-    }
-    while (heap.nonEmpty) {
-      val e = heap.topElem
-      heap.removeTop()
-      val ad = e / n; val u = e % n
-      val r = sess.rate(u, ad, prob.costs(ad)(u))
-      if (heap.nonEmpty && r < heap.topKey - 1e-12) {
-        heap.push(r, e)
-      } else {
-        val g = sess.gain(u, ad)
-        val c = prob.costs(ad)(u)
-        if (!assigned(u) && costS(ad) + c + sess.pi(ad) + g <= prob.budgets(ad) + 1e-9) {
-          sess.add(u, ad)
-          costS(ad) += c
-          out(ad) += u
-          assigned(u) = true
-        }
-        // element removed from M either way
-      }
-    }
-    Vector.tabulate(h)(j => out(j).result())
+    lg.alloc
   }
 }

@@ -2,7 +2,7 @@ package repro.eval
 
 import org.apache.spark.sql.SparkSession
 import repro.baselines.TICARM
-import repro.core.{CostModel, RMA}
+import repro.core.{Alloc, CostModel, RMA}
 import repro.core.Alloc.Alloc
 import repro.graph.GraphGen
 
@@ -63,7 +63,7 @@ object Tables {
       }
       val ms = (System.nanoTime() - t0) / 1000000L
       RunStats(algo, alloc, ms, evaluator.revenue(alloc), evaluator.seedCost(alloc),
-        evaluator.seedCount(alloc), sets)
+        Alloc.seedCount(alloc), sets)
     })
   }
 

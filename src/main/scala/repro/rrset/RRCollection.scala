@@ -19,6 +19,7 @@ import repro.core.{RevenueOracle, RevenueSession}
 final class RRCollection(val n: Int, val cpeArr: Array[Double]) extends RevenueOracle {
 
   val h: Int = cpeArr.length
+  require(h <= Byte.MaxValue, s"RR tags are bytes: at most ${Byte.MaxValue} advertisers, got $h")
   def cpe(i: Int): Double = cpeArr(i)
 
   /** Γ = Σ_i cpe(i). */

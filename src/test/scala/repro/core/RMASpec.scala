@@ -121,6 +121,16 @@ class RMASpec extends SparkSpec {
     assert(r.lambda == 1.0 / 3)
   }
 
+  test("RMA rejects eps >= lambda (at tau=0.1, eps=0.02 once h >= 40)") {
+    val h = 40
+    assert(Search.lambda(h, cfg.tau) <= 0.02)
+    val mh = new ExplicitModel(g, Array.fill(h)(probs(0)))
+    assertThrows[IllegalArgumentException](
+      RMA.run(spark, mh, Array.fill(h)(1.0), Array.fill(h)(4.0), Array.fill(h)(costs(0)),
+        cfg.copy(eps = 0.02)))
+    assert(Search.lambda(39, cfg.tau) > 0.02)
+  }
+
   test("RMA stops early: generated sets stay far below thetaMax on easy instances") {
     val r = RMA.run(spark, model, cpe, budgets, costs, cfg)
     assert(r.numSets < r.thetaMax,

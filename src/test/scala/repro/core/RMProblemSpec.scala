@@ -17,12 +17,6 @@ class RMProblemSpec extends AnyFunSuite {
       (prob.costOf(1, xs) + prob.oracle.piOf(1, xs))) < 1e-12)
   }
 
-  test("withScaledBudgets scales every budget") {
-    val p2 = prob.withScaledBudgets(1.5)
-    assert(p2.budgets.zip(prob.budgets).forall { case (a, b) => math.abs(a - 1.5 * b) < 1e-12 })
-    assert(p2.costs eq prob.costs)
-  }
-
   test("singletonPi matches oracle piOf") {
     for (i <- 0 until prob.h; u <- 0 until prob.n)
       assert(math.abs(prob.singletonPi(i)(u) - prob.oracle.piOf(i, Seq(u))) < 1e-12)

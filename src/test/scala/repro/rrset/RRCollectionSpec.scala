@@ -120,4 +120,9 @@ class RRCollectionSpec extends AnyFunSuite {
     val c = mk(5, Array(1.0), Seq((0, Seq(0, 1))))
     assert(c.piOf(0, Seq(4)) == 0.0)
   }
+
+  test("more than 127 advertisers is rejected (tags are bytes)") {
+    assert(new RRCollection(3, Array.fill(127)(1.0)).h == 127)
+    assertThrows[IllegalArgumentException](new RRCollection(3, Array.fill(128)(1.0)))
+  }
 }
